@@ -3,22 +3,26 @@
 
 Two input modes, selected by what the first argument points at:
 
-- **console log** (legacy): the output of a benchmark run
-  (``REPRO_BENCH_QUALITY=full pytest benchmarks/ --benchmark-only -s |
-  tee bench_full_output.txt``);
-- **directory** of archived series JSON: either the legacy flat
-  ``results/`` layout (``results/fig3.json`` ...), a single runner run
-  directory (``runs/fig5-001/`` containing ``result.json``), or a parent
-  ``runs/`` directory (every child run's ``result.json`` is collected;
-  the newest run wins when an experiment appears more than once).  The
+- **directory** of archived series JSON (the default, ``results/``):
+  either the flat ``results/`` layout (``results/fig3.json`` ...), a
+  single runner run directory (``runs/fig5-001/`` containing
+  ``result.json``), or a parent ``runs/`` directory (every child run's
+  ``result.json`` is collected; the newest run wins when an experiment
+  appears more than once).  The
   tables are re-rendered from the JSON through ``SeriesResult.to_table``,
-  so both execution paths keep feeding the same doc.
+  so both execution paths keep feeding the same doc;
+- **console log**: the output of a CLI or benchmark run
+  (``REPRO_BENCH_QUALITY=full pytest benchmarks/ --benchmark-only -s |
+  tee bench.log``).
 
 Each experiment's table is substituted into the matching
 ``<!-- NAME_TABLE -->`` placeholder of EXPERIMENTS.md (or refreshes a
 previously injected block).
 
-Usage:  python scripts/update_experiments_md.py [log_or_dir] [experiments_md]
+Usage:  python scripts/update_experiments_md.py [dir_or_log] [experiments_md]
+
+With no arguments it re-renders the committed ``results/`` archive into
+``EXPERIMENTS.md``.
 """
 
 from __future__ import annotations
@@ -139,7 +143,7 @@ def inject(markdown: str, name: str, table: str) -> str:
 
 
 def main(argv: list) -> int:
-    source = Path(argv[1]) if len(argv) > 1 else Path("bench_full_output.txt")
+    source = Path(argv[1]) if len(argv) > 1 else Path("results")
     md_path = Path(argv[2]) if len(argv) > 2 else Path("EXPERIMENTS.md")
     if source.is_dir():
         log_lines = render_directory(source)

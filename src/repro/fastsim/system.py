@@ -37,7 +37,7 @@ from repro.core.params import (
     Parameters,
 )
 from repro.fastsim.masks import FastAdversaryMasks, FastFaultMasks
-from repro.fastsim.state import FastState
+from repro.fastsim.state import FastState, sorted_unique
 from repro.sim.metrics import MetricsCollector, MetricsReport
 from repro.sim.rng import SeedSequenceRegistry
 
@@ -600,7 +600,7 @@ class FastCollectionSystem:
         if count == 0 or self.state.n_blocks == 0:
             return
         state = self.state
-        rows = np.unique(
+        rows = sorted_unique(
             self._ttl_rng.integers(0, state.n_blocks, size=count)
         )
         _, _, _, extinct = state.remove_block_rows(rows)
@@ -622,7 +622,7 @@ class FastCollectionSystem:
         """Lifetime expirations: *count* uniform slots are replaced."""
         if count == 0:
             return
-        slots = np.unique(
+        slots = sorted_unique(
             self._churn_rng.integers(0, self.state.n_peers, size=count)
         )
         self.kill_slots(slots, burst=False)

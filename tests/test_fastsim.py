@@ -1,6 +1,6 @@
 """Tests for the vectorized fast engine (state, steppers, sharding).
 
-Three contracts are exercised here:
+Four contracts are exercised here:
 
 - **Engine fidelity** — same-seed fast and event runs agree
   *distributionally* (the fast engine is a mean-field closure, not an
@@ -9,16 +9,21 @@ Three contracts are exercised here:
   agrees with the tau-leap path.
 - **Invariant safety** — array-level conservation monitors stay clean
   under the full fault/adversary channel set.
+- **Reference equality** — the sort-based dedup equals ``np.unique``,
+  and ``FastState.remove_block_rows`` equals its ``np.unique``/
+  ``np.setdiff1d`` reference column for column.
 - **Shard determinism** — ``run_shard`` payloads are pure (JSON
   round-trippable) and ``merge_shard_payloads`` is order-blind, so a
   sharded run is byte-identical for any worker count.
 """
 
+import copy
 import json
 
 import numpy as np
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.params import ENGINE_FAST, Parameters
 from repro.core.system import CollectionSystem
@@ -37,6 +42,7 @@ from repro.fastsim import (
     shard_parameters,
 )
 from repro.fastsim.shard import shard_seed
+from repro.fastsim.state import FastState, sorted_unique
 from repro.fastsim.system import DelayAccumulator
 from repro.faults import FaultPlan
 from repro.adversary import AdversaryPlan
@@ -258,6 +264,168 @@ class TestDelayAccumulator:
         assert folded.count == one.count
         assert folded.total == pytest.approx(one.total)
         assert folded.percentile(50.0) == pytest.approx(one.percentile(50.0))
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestSortedUnique:
+    """``sorted_unique`` is ``np.unique`` computed by one sort."""
+
+    @staticmethod
+    def assert_same_as_unique(values):
+        expected = np.unique(values)
+        got = sorted_unique(values)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @given(
+        st.lists(
+            st.integers(min_value=int(INT64.min), max_value=int(INT64.max)),
+            max_size=300,
+        )
+    )
+    @settings(max_examples=200)
+    def test_matches_np_unique_wide_range(self, values):
+        self.assert_same_as_unique(np.array(values, dtype=np.int64))
+
+    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=300))
+    @settings(max_examples=200)
+    def test_matches_np_unique_dense_duplicates(self, values):
+        self.assert_same_as_unique(np.array(values, dtype=np.int64))
+
+    @given(
+        st.integers(min_value=int(INT64.min), max_value=int(INT64.max)),
+        st.integers(min_value=1, max_value=50),
+    )
+    def test_all_equal_collapses_to_one(self, value, count):
+        values = np.full(count, value, dtype=np.int64)
+        self.assert_same_as_unique(values)
+        assert len(sorted_unique(values)) == 1
+
+    def test_empty_and_single(self):
+        self.assert_same_as_unique(np.empty(0, dtype=np.int64))
+        self.assert_same_as_unique(np.array([INT64.min], dtype=np.int64))
+        self.assert_same_as_unique(np.array([INT64.max], dtype=np.int64))
+
+
+def reference_remove_block_rows(state, rows):
+    """``FastState.remove_block_rows`` as written with ``np.unique`` and
+    ``np.setdiff1d``: the reference the sort-based version must match."""
+    count = len(rows)
+    n = state.n_blocks
+    if count == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty.astype(bool), empty
+    peers = state.block_peer[rows].copy()
+    segments = state.block_seg[rows].copy()
+    polluted = state.block_polluted[rows].copy()
+
+    keep_start = n - count
+    holes = rows[rows < keep_start]
+    tail_deleted = rows[rows >= keep_start]
+    tail_kept = np.setdiff1d(
+        np.arange(keep_start, n, dtype=rows.dtype),
+        tail_deleted,
+        assume_unique=True,
+    )
+    state.block_peer[holes] = state.block_peer[tail_kept]
+    state.block_seg[holes] = state.block_seg[tail_kept]
+    state.block_polluted[holes] = state.block_polluted[tail_kept]
+    state.n_blocks = keep_start
+
+    np.subtract.at(state.peer_blocks, peers, 1)
+    np.subtract.at(state.seg_degree, segments, 1)
+    if polluted.any():
+        np.subtract.at(state.seg_polluted, segments[polluted], 1)
+
+    touched = np.unique(segments)
+    extinct = touched[
+        (state.seg_degree[touched] == 0) & state.seg_alive[touched]
+    ]
+    if len(extinct):
+        state.seg_alive[extinct] = False
+        state.live_segments -= len(extinct)
+    return peers, segments, polluted, extinct
+
+
+STATE_COLUMNS = (
+    "peer_blocks",
+    "block_peer",
+    "block_seg",
+    "block_polluted",
+    "seg_degree",
+    "seg_polluted",
+    "seg_collected",
+    "seg_injected_at",
+    "seg_alive",
+)
+
+
+def random_block_table(rng, n_peers=40, n_segments=60):
+    """A FastState with 1-4 blocks per segment on random peers."""
+    state = FastState(n_peers=n_peers, capacity=10_000, segment_size=4)
+    ids = state.new_segments(rng.random(n_segments))
+    segments = np.repeat(ids, rng.integers(1, 5, size=n_segments))
+    rng.shuffle(segments)
+    peers = rng.integers(0, n_peers, size=len(segments))
+    polluted = rng.random(len(segments)) < 0.3
+    state.append_blocks(peers, segments, polluted)
+    return state
+
+
+class TestRemoveBlockRows:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_reference_with_extinctions(self, seed):
+        rng = np.random.default_rng(seed)
+        state = random_block_table(rng)
+        reference = copy.deepcopy(state)
+        total_extinct = 0
+        # Several rounds, so later removals act on swapped-down tables.
+        for _ in range(4):
+            k = state.n_blocks
+            if k == 0:
+                break
+            table = state.block_seg[:k]
+            # Every row of a few segments (forced extinctions) plus a
+            # random sample of the rest, including tail rows.
+            doomed = rng.choice(
+                np.unique(table), size=min(3, len(np.unique(table))),
+                replace=False,
+            )
+            rows = np.flatnonzero(np.isin(table, doomed))
+            sample = rng.integers(0, k, size=rng.integers(0, k // 2 + 1))
+            rows = np.unique(np.concatenate([rows, sample]))
+
+            got = state.remove_block_rows(rows.copy())
+            want = reference_remove_block_rows(reference, rows.copy())
+            for got_part, want_part in zip(got, want):
+                assert got_part.dtype == want_part.dtype
+                assert np.array_equal(got_part, want_part)
+            assert state.n_blocks == reference.n_blocks
+            assert state.live_segments == reference.live_segments
+            for name in STATE_COLUMNS:
+                assert np.array_equal(
+                    getattr(state, name), getattr(reference, name)
+                ), name
+            state.check_conservation()
+            total_extinct += len(got[3])
+        assert total_extinct > 0
+
+    def test_empty_rows_is_a_no_op(self):
+        state = random_block_table(np.random.default_rng(0))
+        reference = copy.deepcopy(state)
+        got = state.remove_block_rows(np.empty(0, dtype=np.int64))
+        want = reference_remove_block_rows(
+            reference, np.empty(0, dtype=np.int64)
+        )
+        assert len(got) == len(want) == 4
+        for got_part, want_part in zip(got, want):
+            assert got_part.dtype == want_part.dtype
+            assert len(got_part) == 0
+        for name in STATE_COLUMNS:
+            assert np.array_equal(getattr(state, name), getattr(reference, name))
 
 
 class TestSharding:
