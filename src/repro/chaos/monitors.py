@@ -124,6 +124,34 @@ class BufferCapMonitor(InvariantMonitor):
                 )
 
 
+class BlockHolderMonitor(InvariantMonitor):
+    """Every buffered block is alive and records its buffering peer's slot.
+
+    A TTL expiry carries only the block and finds its buffer through the
+    block's ``holder`` slot; a dead block left in a buffer, or one whose
+    holder names another slot, would make the expiry miss its buffer.
+    """
+
+    name = "block-holder"
+
+    def check(self, system: "CollectionSystem", now: float) -> None:
+        for peer in system.peers:
+            for holding in peer.holdings.values():
+                for block in holding.blocks:
+                    if not block.alive:
+                        raise self.fail(
+                            f"dead block of segment "
+                            f"{block.segment.segment_id} buffered at peer "
+                            f"{peer.slot} at t={now:g}"
+                        )
+                    if block.holder != peer.slot:
+                        raise self.fail(
+                            f"block of segment {block.segment.segment_id} "
+                            f"buffered at peer {peer.slot} records holder "
+                            f"{block.holder} at t={now:g}"
+                        )
+
+
 class PeerTrackingMonitor(InvariantMonitor):
     """The non-empty peer set and empty-peer metric match reality."""
 
@@ -303,6 +331,7 @@ def end_state_monitors() -> List[InvariantMonitor]:
     return [
         BlockConservationMonitor(),
         BufferCapMonitor(),
+        BlockHolderMonitor(),
         PeerTrackingMonitor(),
         SavedAccountingMonitor(),
     ]

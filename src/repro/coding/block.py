@@ -14,7 +14,7 @@ without global coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -54,7 +54,6 @@ class SegmentDescriptor:
         )
 
 
-@dataclass(eq=False)
 class CodedBlock:
     """One coded block of a segment.
 
@@ -66,32 +65,59 @@ class CodedBlock:
 
     Identity (not value) equality is deliberate: two blocks with equal
     coefficients are still distinct objects occupying distinct buffer slots.
+
+    A hand-written ``__slots__`` class (``dataclass(slots=True)`` needs
+    Python 3.10): every buffered block is one small object with no
+    per-instance ``__dict__``.
+
+    Attributes beyond the constructor's data:
+
+    - ``alive`` — liveness flag flipped by TTL expiry and churn; lets stale
+      deletion events detect that their target is already gone.
+    - ``polluted`` — fault-injection tag: the block was emitted (or
+      re-encoded from a holding contaminated) by a polluting peer.  In RLNC
+      mode the coefficient header is additionally zeroed, so GF(2^8) rank
+      detection rejects the block without consulting this flag; abstract
+      mode relies on the tag alone (the tagged-block approximation).
+    - ``holder`` — topology slot of the peer buffering the block (-1
+      before it is first buffered).  A slot, never a peer reference: a
+      live block always sits in the slot's current occupant, and a
+      back-reference would make every churned peer cyclic garbage.
     """
 
-    segment: SegmentDescriptor
-    coefficients: Optional[Vector] = None
-    payload: Optional[Vector] = None
-    created_at: float = 0.0
-    #: Liveness flag flipped by TTL expiry and churn; lets stale deletion
-    #: events detect that their target is already gone.
-    alive: bool = field(default=True, compare=False)
-    #: Fault-injection tag: the block was emitted (or re-encoded from a
-    #: holding contaminated) by a polluting peer.  In RLNC mode the
-    #: coefficient header is additionally zeroed, so GF(2^8) rank detection
-    #: rejects the block without consulting this flag; abstract mode relies
-    #: on the tag alone (the tagged-block approximation).
-    polluted: bool = field(default=False, compare=False)
+    __slots__ = (
+        "segment",
+        "coefficients",
+        "payload",
+        "created_at",
+        "alive",
+        "polluted",
+        "holder",
+    )
 
-    def __post_init__(self) -> None:
-        if self.coefficients is not None:
-            self.coefficients = gf256.as_vector(self.coefficients)
-            if self.coefficients.shape != (self.segment.size,):
+    def __init__(
+        self,
+        segment: SegmentDescriptor,
+        coefficients: Optional[Vector] = None,
+        payload: Optional[Vector] = None,
+        created_at: float = 0.0,
+        alive: bool = True,
+        polluted: bool = False,
+    ) -> None:
+        self.segment = segment
+        self.coefficients: Optional[Vector] = None
+        if coefficients is not None:
+            self.coefficients = gf256.as_vector(coefficients)
+            if self.coefficients.shape != (segment.size,):
                 raise ValueError(
                     f"coefficient vector has shape {self.coefficients.shape}, "
-                    f"expected ({self.segment.size},)"
+                    f"expected ({segment.size},)"
                 )
-        if self.payload is not None:
-            self.payload = gf256.as_vector(self.payload)
+        self.payload = None if payload is None else gf256.as_vector(payload)
+        self.created_at = created_at
+        self.alive = alive
+        self.polluted = polluted
+        self.holder = -1
 
     @property
     def is_coded(self) -> bool:

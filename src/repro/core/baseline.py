@@ -35,13 +35,19 @@ from repro.util.randomset import RandomizedSet
 
 
 class _PendingBlock:
-    """One statistics block waiting at its generating peer."""
+    """One statistics block waiting at its generating peer.
 
-    __slots__ = ("created_at", "alive")
+    Records the peer's slot and generation (never the peer object), so its
+    TTL expiry can find the buffer without a per-block closure.
+    """
 
-    def __init__(self, created_at: float) -> None:
+    __slots__ = ("created_at", "alive", "slot", "generation")
+
+    def __init__(self, created_at: float, slot: int, generation: int) -> None:
         self.created_at = created_at
         self.alive = True
+        self.slot = slot
+        self.generation = generation
 
 
 class _DirectPeer:
@@ -120,6 +126,8 @@ class DirectCollectionSystem:
             _DirectPeer(slot, capacity) for slot in range(params.n_peers)
         ]
         self._pending: RandomizedSet[int] = RandomizedSet()
+        # Bound once: every TTL expiry schedules this method with its block.
+        self._on_ttl = self._expire
         self.delivered = 0
         self.lost_to_churn = 0
         self.lost_to_ttl = 0
@@ -181,7 +189,7 @@ class DirectCollectionSystem:
             self.lost_to_overflow += 1
             self.metrics.blocked_injections.increment(in_window)
             return
-        block = _PendingBlock(self.sim.now)
+        block = _PendingBlock(self.sim.now, slot, peer.generation)
         peer.queue.append(block)
         source = (slot, peer.generation)
         self.injected_by_source[source] = (
@@ -195,16 +203,14 @@ class DirectCollectionSystem:
             self.metrics.empty_peers.add(self.sim.now, -1)
         if not self.retain_forever:
             ttl = exponential(self._ttl_rng, self.params.deletion_rate)
-            generation = peer.generation
-            self.sim.schedule_call(
-                ttl, lambda: self._expire(slot, generation, block)
-            )
+            self.sim.schedule_call_with(ttl, self._on_ttl, block)
 
-    def _expire(self, slot: int, generation: int, block: _PendingBlock) -> None:
+    def _expire(self, block: _PendingBlock) -> None:
         if not block.alive:
             return
+        slot = block.slot
         peer = self.peers[slot]
-        if peer.generation != generation:
+        if peer.generation != block.generation:
             return  # churn already destroyed this buffer
         block.alive = False
         self.lost_to_ttl += 1

@@ -179,11 +179,13 @@ class Peer:
     # -- mutations -----------------------------------------------------------
 
     def add_block(self, block: CodedBlock) -> None:
-        """Buffer one live block; raises if the buffer is full."""
+        """Buffer one live block and record this peer's slot as its holder;
+        raises if the buffer is full."""
         if self.is_full:
             raise ValueError(
                 f"peer {self.slot} buffer full ({self.capacity} blocks)"
             )
+        block.holder = self.slot
         segment_id = block.segment.segment_id
         holding = self.holdings.get(segment_id)
         if holding is None:

@@ -261,6 +261,9 @@ class CollectionSystem:
         self.peers: List[Peer] = [
             Peer(slot, capacity) for slot in range(params.n_peers)
         ]
+        # Bound once: every TTL expiry schedules this method with its block
+        # as the argument, so no per-block closure is ever allocated.
+        self._on_ttl = self._expire_block
         self._nonempty: RandomizedSet[int] = RandomizedSet()
 
         self.gossip = GossipProtocol(
@@ -541,14 +544,19 @@ class CollectionSystem:
             self.metrics.empty_peers.add(now, -1)
         ttl = exponential(self._ttl_rng, self.params.deletion_rate)
         # TTL expiries are never cancelled (expiry itself checks liveness),
-        # so they ride the handle-free fast path.
-        self.sim.schedule_call(ttl, lambda: self._expire_block(peer, block))
+        # so they ride the handle-free fast path with the block as argument.
+        self.sim.schedule_call_with(ttl, self._on_ttl, block)
 
-    def _expire_block(self, peer: Peer, block: CodedBlock) -> None:
-        """TTL expiry: delete the block unless churn already destroyed it."""
+    def _expire_block(self, block: CodedBlock) -> None:
+        """TTL expiry: delete the block unless churn already destroyed it.
+
+        A live block sits in the current occupant of its holder slot: churn
+        kills every block of a departing peer before replacing it.
+        """
         if not block.alive:
             return
         block.alive = False
+        peer = self.peers[block.holder]
         if not peer.remove_block(block):
             raise RuntimeError(
                 f"live block of segment {block.segment.segment_id} missing "

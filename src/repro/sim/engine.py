@@ -10,7 +10,7 @@ The engine is deliberately single-threaded and deterministic: given the same
 seeds and the same schedule of calls, two runs produce identical event
 orderings (ties in time are broken by insertion sequence).
 
-Hot-path design.  Two scheduling flavours share one heap:
+Hot-path design.  Three scheduling flavours share one heap:
 
 - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` allocate an
   :class:`EventHandle` per event and support cancellation (lazy: cancelled
@@ -18,8 +18,14 @@ Hot-path design.  Two scheduling flavours share one heap:
   exactly and the heap compacted in place once cancelled entries dominate);
 - :meth:`Simulator.schedule_call` / :meth:`Simulator.schedule_call_at` are
   the handle-free fast path for fire-and-forget events (recurring clock
-  fires, TTL expiries, delivery latencies): the heap entry *is* the bare
-  callable — no per-event allocation beyond the tuple.
+  fires, delivery latencies): the heap entry *is* the bare callable — no
+  per-event allocation beyond the tuple;
+- :meth:`Simulator.schedule_call_with` is the same fast path with one
+  argument carried in the heap entry and passed to the action.  A
+  per-object timer (one TTL expiry per buffered block) schedules a bound
+  method created once plus the object, instead of a fresh closure per
+  object: no function, cell or closure tuple for the cyclic GC to
+  traverse.
 
 ``run_until`` additionally batch-drains the heap: when many entries are due
 before the horizon, one linear partition + ``sort`` replaces thousands of
@@ -38,11 +44,12 @@ import math
 import random
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, TypeVar, Union
 
 from repro.sim.rng import exponential
 
 Action = Callable[[], None]
+_T = TypeVar("_T")
 
 #: Minimum number of due entries for which a batch drain beats popping.
 _BATCH_MIN = 64
@@ -82,10 +89,14 @@ class EventHandle:
             self._sim._note_cancelled()
 
 
-#: A heap entry: cancellable events carry an EventHandle, fast-path events
-#: carry the bare callable.  The sequence number is unique, so tuple
-#: comparison never reaches the third element.
-_Entry = Tuple[float, int, Union[EventHandle, Action]]
+#: Argument slot of every heap entry whose action takes no argument.
+_NO_ARG: Any = object()
+
+#: A heap entry ``(time, sequence, item, arg)``: cancellable events carry
+#: an EventHandle, fast-path events the bare callable; ``arg`` is passed to
+#: the action unless it is ``_NO_ARG``.  The sequence number is unique, so
+#: tuple comparison never reaches the third element.
+_Entry = Tuple[float, int, Union[EventHandle, Callable[..., None]], Any]
 
 
 @dataclass(frozen=True)
@@ -180,7 +191,9 @@ class Simulator:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         time = self.now + delay
         handle = EventHandle(time, action, self)
-        heapq.heappush(self._heap, (time, next(self._sequence), handle))
+        heapq.heappush(
+            self._heap, (time, next(self._sequence), handle, _NO_ARG)
+        )
         return handle
 
     def schedule_at(self, time: float, action: Action) -> EventHandle:
@@ -192,7 +205,9 @@ class Simulator:
                 f"cannot schedule into the past: t={time} < now={self.now}"
             )
         handle = EventHandle(time, action, self)
-        heapq.heappush(self._heap, (time, next(self._sequence), handle))
+        heapq.heappush(
+            self._heap, (time, next(self._sequence), handle, _NO_ARG)
+        )
         return handle
 
     def schedule_call(self, delay: float, action: Action) -> None:
@@ -200,13 +215,30 @@ class Simulator:
 
         Identical ordering semantics to :meth:`schedule`, but the heap entry
         is the bare callable — no :class:`EventHandle` allocation.  Use it
-        for fire-and-forget events (clock fires, TTL expiries, latencies)
-        whose handle would be dropped anyway.
+        for fire-and-forget events (clock fires, latencies) whose handle
+        would be dropped anyway.
+        """
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
+        time = self.now + delay
+        heapq.heappush(
+            self._heap, (time, next(self._sequence), action, _NO_ARG)
+        )
+
+    def schedule_call_with(
+        self, delay: float, action: Callable[[_T], None], arg: _T
+    ) -> None:
+        """Fast path with an argument: run ``action(arg)`` after *delay*.
+
+        Same ordering and accounting as :meth:`schedule_call`; the heap
+        entry carries *arg*.  Use it for per-object timers (TTL expiries):
+        pass a bound method created once and the object, never a fresh
+        closure per object.
         """
         if not 0.0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         heapq.heappush(
-            self._heap, (self.now + delay, next(self._sequence), action)
+            self._heap, (self.now + delay, next(self._sequence), action, arg)
         )
 
     def schedule_call_at(self, time: float, action: Action) -> None:
@@ -217,7 +249,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past: t={time} < now={self.now}"
             )
-        heapq.heappush(self._heap, (time, next(self._sequence), action))
+        heapq.heappush(
+            self._heap, (time, next(self._sequence), action, _NO_ARG)
+        )
 
     def stop(self) -> None:
         """Request the current ``run_until`` call to return after this event."""
@@ -295,6 +329,7 @@ class Simulator:
         # always see an exact position.
         pos = 0
         ready_len = 0
+        no_arg = _NO_ARG
         try:
             while True:
                 if pos >= ready_len:
@@ -333,9 +368,9 @@ class Simulator:
                     entry = heapq.heappop(heap)
                 else:
                     pos += 1
-                event_time, _, item = entry
+                event_time, _, item, arg = entry
                 popped += 1
-                action: Optional[Action]
+                action: Optional[Callable[..., None]]
                 if type(item) is EventHandle:
                     if item.cancelled:
                         self._cancelled_pending -= 1
@@ -354,7 +389,10 @@ class Simulator:
                     action = item  # type: ignore[assignment]
                 self._ready_pos = pos
                 self.now = event_time
-                action()
+                if arg is no_arg:
+                    action()
+                else:
+                    action(arg)
                 executed += 1
                 if probe is not None:
                     probe_countdown -= 1

@@ -195,6 +195,26 @@ class TestMonitors:
             suite.check_now()
         assert exc.value.monitor == "buffer-cap"
 
+    def test_monitor_detects_corrupted_holder_slot(self):
+        system = CollectionSystem(small_params(), seed=4)
+        system.run(1.0, 2.0)
+        system.consistency_check()
+        peer = next(p for p in system.peers if not p.is_empty)
+        block = next(iter(peer.buffered_blocks))
+        block.holder = (peer.slot + 1) % len(system.peers)
+        with pytest.raises(InvariantViolation) as exc:
+            system.consistency_check()
+        assert exc.value.monitor == "block-holder"
+
+    def test_monitor_detects_dead_buffered_block(self):
+        system = CollectionSystem(small_params(), seed=4)
+        system.run(1.0, 2.0)
+        peer = next(p for p in system.peers if not p.is_empty)
+        next(iter(peer.buffered_blocks)).alive = False
+        with pytest.raises(InvariantViolation) as exc:
+            system.consistency_check()
+        assert exc.value.monitor == "block-holder"
+
     def test_cadence_validated(self):
         system = CollectionSystem(small_params(), seed=4)
         with pytest.raises(ValueError):

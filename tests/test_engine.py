@@ -1,10 +1,14 @@
 """Tests for the discrete-event engine and Poisson processes."""
 
+import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.sim.engine as engine_mod
 from repro.sim.engine import PoissonProcess, Simulator, ThinnedPoissonProcess
 from repro.sim.rng import SeedSequenceRegistry, exponential
 
@@ -282,6 +286,169 @@ class TestFastPathScheduling:
         sim.schedule_call(1.0, lambda: sim.run_until(5.0))
         with pytest.raises(RuntimeError, match="re-entrant"):
             sim.run_until(2.0)
+
+
+_KINDS = ("handle", "call", "arg")
+#: One top-level entry: kind, time (few values, so ties are common), cancel
+#: flag (handles only), and an optional child (kind, delay) the entry's
+#: action schedules while the run is draining.
+_ENTRY = st.tuples(
+    st.sampled_from(_KINDS),
+    st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)),
+    st.booleans(),
+    st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(_KINDS), st.sampled_from((0.0, 0.25, 1.0))),
+    ),
+)
+
+
+class TestArgumentEntries:
+    """``schedule_call_with``: the fast path whose entry carries an argument."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        entries=st.lists(_ENTRY, max_size=150),
+        batch_min=st.sampled_from((1, 4, 64, 10**9)),
+        split=st.sampled_from((0.75, 1.5, 4.0)),
+    )
+    def test_mixed_entries_run_in_time_sequence_order(
+        self, entries, batch_min, split
+    ):
+        """Handle, no-argument and argument entries — including ones
+        scheduled mid-drain — execute in (time, sequence) order."""
+        with mock.patch.object(engine_mod, "_BATCH_MIN", batch_min):
+            sim = Simulator()
+            sequence = itertools.count()
+            keys = {}
+            order = []
+
+            def fire(payload):
+                label, child = payload
+                order.append(label)
+                if child is not None:
+                    kind, delay = child
+                    schedule(kind, delay, ("child", label), None)
+
+            def schedule(kind, delay, label, child):
+                keys[label] = (sim.now + delay, next(sequence))
+                payload = (label, child)
+                if kind == "arg":
+                    sim.schedule_call_with(delay, fire, payload)
+                    return None
+                if kind == "call":
+                    sim.schedule_call(delay, lambda: fire(payload))
+                    return None
+                return sim.schedule(delay, lambda: fire(payload))
+
+            for index, (kind, time, cancel, child) in enumerate(entries):
+                handle = schedule(kind, time, index, child)
+                if handle is not None and cancel:
+                    handle.cancel()
+                    del keys[index]
+            sim.run_until(split)
+            sim.run_until(4.0)
+        assert order == sorted(keys, key=keys.__getitem__)
+        assert sim.events_processed == len(order)
+        assert sim.pending == 0
+
+    def test_argument_is_passed_even_when_none(self):
+        sim = Simulator()
+        got = []
+        sim.schedule_call_with(1.0, got.append, None)
+        sim.schedule_call_with(0.5, got.append, "first")
+        sim.run_until(2.0)
+        assert got == ["first", None]
+
+    def test_validation(self):
+        sim = Simulator()
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sim.schedule_call_with(bad, print, 1)
+        assert sim.pending == 0
+
+    def test_stop_mid_batch_pushes_back_argument_entries(self):
+        sim = Simulator()
+        fired = []
+
+        def act(index):
+            fired.append(index)
+            if index == 99:
+                sim.stop()
+
+        for index in range(200):
+            sim.schedule_call_with(float(index), act, index)
+        assert sim.run_until(1000.0) == 100
+        assert sim.now == 99.0
+        assert sim.pending == 100
+        sim.run_until(1000.0)
+        assert fired == list(range(200))
+        assert sim.pending == 0
+
+    def test_max_events_pushes_back_argument_entries(self):
+        sim = Simulator()
+        fired = []
+        for index in range(200):
+            sim.schedule_call_with(float(index), fired.append, index)
+        with pytest.raises(RuntimeError, match="runaway"):
+            sim.run_until(1000.0, max_events=50)
+        assert fired == list(range(50))
+        assert sim.pending == 150
+        sim.run_until(1000.0)
+        assert fired == list(range(200))
+
+    def test_pending_is_exact_mid_batch(self):
+        sim = Simulator()
+        seen = []
+
+        def act(index):
+            seen.append(sim.pending)
+            if index % 10 == 0:
+                sim.schedule_call_with(0.5, child, index)
+                seen.append(sim.pending)
+
+        def child(index):
+            seen.append(sim.pending)
+
+        for index in range(200):
+            sim.schedule_call_with(float(index), act, index)
+        sim.run_until(1000.0)
+        expected = []
+        for index in range(200):
+            expected.append(199 - index)
+            if index % 10 == 0:
+                expected += [200 - index, 199 - index]
+        assert seen == expected
+        assert sim.pending == 0
+
+    def test_compaction_leaves_argument_entries_in_place(self):
+        sim = Simulator()
+        fired = []
+        for index in range(300):
+            sim.schedule_call_with(1.0 + index, fired.append, index)
+        handles = [sim.schedule(0.5, lambda: None) for _ in range(600)]
+        for handle in handles:
+            handle.cancel()
+        assert sim.heap_compactions >= 1
+        assert sim.pending == 300
+        sim.run_until(1000.0)
+        assert fired == list(range(300))
+        assert sim.events_processed == 300
+
+    @pytest.mark.parametrize("kind", ["call", "arg"])
+    def test_probe_cadence_counts_argument_entries(self, kind):
+        sim = Simulator()
+        probes = []
+        sim.set_probe(lambda: probes.append(sim.now), every=7)
+        for index in range(100):
+            if kind == "arg":
+                sim.schedule_call_with(float(index), lambda _: None, index)
+            else:
+                sim.schedule_call(float(index), lambda: None)
+        sim.run_until(49.5)
+        sim.run_until(1000.0)
+        assert probes == [float(7 * k - 1) for k in range(1, 15)]
+        assert sim.perf().events_fired == 100
 
 
 class TestCancellationAccounting:

@@ -1,6 +1,8 @@
 """Integration tests for the full indirect collection system."""
 
+import gc
 import math
+import types
 
 import pytest
 
@@ -317,3 +319,58 @@ class TestRunApi:
         assert system.now == 5.0
         assert first.window == pytest.approx(3.0)
         assert second.window == pytest.approx(2.0)
+
+
+def _tracked_closures():
+    """Tracked function and cell objects: what a per-block closure leaves."""
+    return sum(
+        1
+        for obj in gc.get_objects()
+        if type(obj) in (types.FunctionType, types.CellType)
+    )
+
+
+class TestGarbage:
+    """The per-block TTL path allocates no closure and no reference cycle."""
+
+    def test_churned_run_leaves_no_cyclic_garbage(self):
+        """Churn replaces peers wholesale; their blocks must die by
+        reference counting alone (a block holding its peer would make every
+        departed peer cyclic garbage)."""
+        gc.collect()
+        gc.disable()
+        try:
+            system = CollectionSystem(
+                params(n_peers=60, mean_lifetime=2.0), seed=41
+            )
+            report = system.run(2.0, 4.0)
+            assert report.departures > 0
+            assert report.blocks_lost_to_churn > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert system.total_blocks_in_network() > 0
+
+    def test_closures_scale_with_peers_not_blocks(self):
+        def closures_and_blocks(n_peers):
+            gc.collect()
+            before = _tracked_closures()
+            system = CollectionSystem(
+                params(n_peers=n_peers, arrival_rate=20.0, gossip_rate=10.0),
+                seed=42,
+            )
+            system.run_until(2.0)
+            gc.collect()
+            return (
+                _tracked_closures() - before,
+                system.total_blocks_in_network(),
+            )
+
+        small_closures, small_blocks = closures_and_blocks(30)
+        large_closures, large_blocks = closures_and_blocks(120)
+        added_peers = 120 - 30
+        added_blocks = large_blocks - small_blocks
+        # Meaningful only with many live blocks per added peer.
+        assert added_blocks > 10 * added_peers
+        # Per-peer clocks may hold a closure or two; per-block timers none.
+        assert large_closures - small_closures <= 4 * added_peers
