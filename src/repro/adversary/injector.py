@@ -28,17 +28,21 @@ sybil behaves as liar + free-rider.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary.plan import TARGET_LOW_DEGREE, AdversaryPlan
+from repro.faults.decisions import AdversaryDecisions
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import exponential
 from repro.sim.trace import Tracer
 
 
-class AdversaryInjector:
+class AdversaryInjector(AdversaryDecisions):
     """Executes one :class:`AdversaryPlan` against a running simulation.
+
+    The role sets and sizing arithmetic are inherited from
+    :class:`AdversaryDecisions`.
 
     Args:
         plan: The adversary configuration (must be non-null).
@@ -58,19 +62,12 @@ class AdversaryInjector:
         metrics: MetricsCollector,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.plan = plan
+        super().__init__(plan, n_slots, rng)
         self._sim = sim
-        self._rng = rng
-        self._n_slots = n_slots
         self._metrics = metrics
         self._tracer = tracer
-        liars, freeriders, polluters = self._sample_roles()
-        #: static role slot sets, disjoint by construction.
-        self.liars: FrozenSet[int] = liars
-        self.freeriders: FrozenSet[int] = freeriders
-        self.polluters: FrozenSet[int] = polluters
         #: pre-sorted liar slots for deterministic capture choice.
-        self._liar_list: Tuple[int, ...] = tuple(sorted(liars))
+        self._liar_list: Tuple[int, ...] = tuple(sorted(self.liars))
         #: active sybil identities: slot -> adversarial generation.
         self._sybils: Dict[int, int] = {}
         self._handles: List[EventHandle] = []
@@ -81,36 +78,6 @@ class AdversaryInjector:
         #: lifetime tallies (diagnostics; metrics hold windowed counts).
         self.sybil_bursts_fired = 0
         self.sybil_conversions = 0
-
-    def _sample_roles(
-        self,
-    ) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-        """Draw the disjoint liar/free-rider/polluter slot sets."""
-        plan = self.plan
-        n = self._n_slots
-        if plan.static_fraction <= 0.0:
-            return frozenset(), frozenset(), frozenset()
-        order = self._rng.sample(range(n), n)
-        counts = []
-        remaining = n
-        for fraction in (
-            plan.liar_fraction,
-            plan.freerider_fraction,
-            plan.polluter_fraction,
-        ):
-            count = 0
-            if fraction > 0.0:
-                count = min(remaining, max(1, round(fraction * n)))
-            counts.append(count)
-            remaining -= count
-        liar_end = counts[0]
-        freerider_end = liar_end + counts[1]
-        polluter_end = freerider_end + counts[2]
-        return (
-            frozenset(order[:liar_end]),
-            frozenset(order[liar_end:freerider_end]),
-            frozenset(order[freerider_end:polluter_end]),
-        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -218,13 +185,11 @@ class AdversaryInjector:
     def capture_pull(self) -> Optional[int]:
         """Decide whether an advertising adversary captures one pull.
 
-        With ``k`` advertising adversaries each inflating its apparent
-        buffer by factor ``A``, a rank-weighted target selection lands on
-        some adversary with probability ``A*k / (A*k + (N - k))``; the
-        captured slot is then uniform among them.  Returns the capturing
-        slot, or None when the pull proceeds through the honest selection
-        path.  Runs with no liars and no sybils return None without
-        touching the RNG.
+        A rank-weighted target selection lands on some advertising
+        adversary with :meth:`capture_probability`; the captured slot is
+        then uniform among them.  Returns the capturing slot, or None when
+        the pull proceeds through the honest selection path.  Runs with no
+        liars and no sybils return None without touching the RNG.
         """
         if not self.liars and not self._sybils:
             return None
@@ -232,9 +197,7 @@ class AdversaryInjector:
         k = len(attractors)
         if k == 0:
             return None
-        weight = self.plan.liar_inflation * k
-        honest = self._n_slots - k
-        if self._rng.random() >= weight / (weight + honest):
+        if self._rng.random() >= self.capture_probability(k):
             return None
         return attractors[self._rng.randrange(k)]
 
@@ -245,13 +208,6 @@ class AdversaryInjector:
         return trust > 0.0 and self._rng.random() < trust
 
     # -- sybil bursts ------------------------------------------------------------
-
-    def sybil_burst_size(self) -> int:
-        """Slots converted per burst event (at least one, at most all)."""
-        return min(
-            self._n_slots,
-            max(1, round(self.plan.sybil_fraction * self._n_slots)),
-        )
 
     def active_sybil_count(self) -> int:
         """Currently active sybil identities (stale marks pruned)."""
@@ -265,7 +221,7 @@ class AdversaryInjector:
         self._handles.append(self._sim.schedule(gap, self._fire_sybil_burst))
 
     def _fire_sybil_burst(self) -> None:
-        slots = self._rng.sample(range(self._n_slots), self.sybil_burst_size())
+        slots = self.sybil_slots()
         self.sybil_bursts_fired += 1
         assert self._kill_slots is not None  # start() enforces bind()
         assert self._get_generation is not None

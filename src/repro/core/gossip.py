@@ -33,7 +33,8 @@ from repro.coding.block import CodedBlock
 from repro.core.params import Parameters, SELECTION_UNIFORM
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry
-from repro.faults.injector import FaultInjector, corrupt_block
+from repro.faults.decisions import corrupt_block
+from repro.faults.injector import FaultInjector
 from repro.sim.metrics import MetricsCollector
 from repro.sim.topology import Topology
 

@@ -47,7 +47,8 @@ from repro.adversary.defense import (
 from repro.adversary.injector import AdversaryInjector
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry, SegmentState
-from repro.faults.injector import FaultInjector, corrupt_block
+from repro.faults.decisions import corrupt_block
+from repro.faults.injector import FaultInjector
 from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import (
     KIND_DROP,
@@ -320,9 +321,7 @@ class ServerPool:
                 )
             return
 
-        attempts = 1
-        if faults is not None and faults.polluters:
-            attempts += faults.plan.pollution_repull_budget
+        attempts = 1 if faults is None else faults.pull_attempts()
         while True:
             attempts -= 1
             holding = peer.holdings[state.segment_id]

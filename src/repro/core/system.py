@@ -620,9 +620,8 @@ class CollectionSystem:
         """
         catchup = 0
         if self.faults is not None:
-            catchup = min(
-                int(elapsed * self.params.per_server_rate),
-                self.faults.plan.catchup_limit,
+            catchup = self.faults.catchup_pulls(
+                elapsed, self.params.per_server_rate
             )
         for index, process in enumerate(self._server_processes):
             process.start()

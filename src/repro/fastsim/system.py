@@ -318,12 +318,10 @@ class FastCollectionSystem:
     def end_outage(self, at: float, downtime: float) -> int:
         """Servers recover at *at*; returns the catch-up pull count."""
         self.metrics.servers_down.update(at, 0.0)
-        plan = self.params.faults
-        if plan is None:
+        masks = self.fault_masks
+        if masks is None:
             return 0
-        per_server = min(
-            int(downtime * self.params.per_server_rate), plan.catchup_limit
-        )
+        per_server = masks.catchup_pulls(downtime, self.params.per_server_rate)
         return per_server * self.params.n_servers
 
     # -- channel kernels -----------------------------------------------------
@@ -500,13 +498,8 @@ class FastCollectionSystem:
             return
 
         budget = 1
-        fault_plan = self.params.faults
-        if (
-            self.fault_masks is not None
-            and self.fault_masks.polluters
-            and fault_plan is not None
-        ):
-            budget += fault_plan.pollution_repull_budget
+        if self.fault_masks is not None:
+            budget = self.fault_masks.pull_attempts()
         trials = remaining
         for attempt in range(budget):
             if trials <= 0:

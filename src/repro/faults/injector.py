@@ -20,9 +20,9 @@ bursts).  Design rules:
 from __future__ import annotations
 
 import random
-from typing import Callable, FrozenSet, List, Optional, Protocol, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.coding.block import CodedBlock
+from repro.faults.decisions import FaultDecisions, sample_cohort
 from repro.faults.plan import PROC_KILL_PEERS, FaultPlan
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.metrics import MetricsCollector
@@ -30,32 +30,11 @@ from repro.sim.rng import exponential
 from repro.sim.trace import KIND_OUTAGE, KIND_RECOVER, Tracer
 
 
-def corrupt_block(block: CodedBlock) -> CodedBlock:
-    """Mark *block* as polluted, invalidating its coefficient header.
-
-    In RLNC mode the coefficient vector is zeroed — a detectably invalid
-    header that GF(2^8) rank arithmetic can never count as innovative, so
-    the server-side decoder rejects the block for free.  In abstract mode
-    the ``polluted`` tag alone carries the information (the tagged-block
-    approximation of the same detection).  Returns the block for chaining.
-    """
-    block.polluted = True
-    if block.coefficients is not None:
-        block.coefficients.fill(0)
-    return block
-
-
-class PollutableHolding(Protocol):
-    """What the pollution channel needs to know about a peer's holding."""
-
-    @property
-    def polluted_count(self) -> int:
-        """Number of polluted blocks currently in the holding."""
-        ...
-
-
-class FaultInjector:
+class FaultInjector(FaultDecisions):
     """Executes one :class:`FaultPlan` against a running simulation.
+
+    The decisions themselves are inherited from :class:`FaultDecisions`;
+    *rng* serves as both its roster and its event stream.
 
     Args:
         plan: The fault configuration.
@@ -75,13 +54,10 @@ class FaultInjector:
         metrics: MetricsCollector,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.plan = plan
+        super().__init__(plan, n_slots, rng, rng)
         self._sim = sim
-        self._rng = rng
-        self._n_slots = n_slots
         self._metrics = metrics
         self._tracer = tracer
-        self.polluters: FrozenSet[int] = self._sample_polluters()
         self._down = False
         self._down_since = 0.0
         self._handles: List[EventHandle] = []
@@ -94,13 +70,6 @@ class FaultInjector:
         #: windowed counterparts)
         self.outages_started = 0
         self.bursts_fired = 0
-
-    def _sample_polluters(self) -> FrozenSet[int]:
-        fraction = self.plan.pollution_fraction
-        if fraction <= 0.0:
-            return frozenset()
-        count = min(self._n_slots, max(1, round(fraction * self._n_slots)))
-        return frozenset(self._rng.sample(range(self._n_slots), count))
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -162,48 +131,6 @@ class FaultInjector:
             handle.cancel()
         self._handles.clear()
 
-    # -- hot-path queries (zero-knob cases must not touch the RNG) --------------
-
-    def drop_gossip(self) -> bool:
-        """Decide whether one in-flight gossip transfer is lost."""
-        p = self.plan.gossip_loss_rate
-        return p > 0.0 and self._rng.random() < p
-
-    def drop_pull(self) -> bool:
-        """Decide whether one server pull's block transfer is lost."""
-        p = self.plan.pull_loss_rate
-        return p > 0.0 and self._rng.random() < p
-
-    def is_polluter(self, slot: int) -> bool:
-        """True when the peer slot is a configured polluter."""
-        return slot in self.polluters
-
-    def pollutes(self, slot: int, holding: PollutableHolding) -> bool:
-        """True when an emission from *holding* at *slot* is corrupted.
-
-        A block is polluted if its emitter is a polluter slot, or if the
-        holding it is re-encoded from already contains polluted blocks —
-        any linear combination touching junk is junk, which is what makes
-        pollution spread and why end-to-end detection matters.
-        """
-        if not self.polluters:
-            return False
-        return slot in self.polluters or holding.polluted_count > 0
-
-    def maybe_pollute(
-        self, slot: int, holding: PollutableHolding, block: CodedBlock
-    ) -> bool:
-        """Corrupt *block* in place when its emission is polluted.
-
-        Returns True when the block was corrupted.  Zero-knob runs take the
-        ``not self.polluters`` short-circuit inside :meth:`pollutes` and do
-        no work at all.
-        """
-        if self.pollutes(slot, holding):
-            corrupt_block(block)
-            return True
-        return False
-
     @property
     def servers_down(self) -> bool:
         """True while an outage window is in effect."""
@@ -248,19 +175,12 @@ class FaultInjector:
 
     # -- correlated churn bursts ---------------------------------------------------
 
-    def burst_size(self) -> int:
-        """Slots killed per burst event (at least one, at most all)."""
-        return min(
-            self._n_slots,
-            max(1, round(self.plan.burst_fraction * self._n_slots)),
-        )
-
     def _arm_next_burst(self) -> None:
         gap = exponential(self._rng, self.plan.burst_rate)
         self._handles.append(self._sim.schedule(gap, self._fire_burst))
 
     def _fire_burst(self) -> None:
-        slots = self._rng.sample(range(self._n_slots), self.burst_size())
+        slots = self.burst_slots()
         self.bursts_fired += 1
         assert self._kill_slots is not None  # start() enforces bind()
         self._kill_slots(slots)
@@ -272,10 +192,7 @@ class FaultInjector:
         """One scheduled kill-peers event as a correlated departure burst."""
 
         def fire() -> None:
-            count = min(
-                self._n_slots, max(1, round(fraction * self._n_slots))
-            )
-            slots = self._rng.sample(range(self._n_slots), count)
+            slots = sample_cohort(self._rng, fraction, self._n_slots)
             self.bursts_fired += 1
             assert self._kill_slots is not None  # start() enforces bind()
             self._kill_slots(slots)

@@ -12,7 +12,7 @@ right file:
   fault injector's ``rng`` parameter.  No call site constructs an RNG
   directly (R1 stays silent); only provenance tracking sees that the
   value reaching the blessed parameter never came from the registry.
-- ``neutrality-guard-dropped`` (R7): ``FaultInjector.drop_gossip``
+- ``neutrality-guard-dropped`` (R7): ``FaultDecisions.drop_gossip``
   loses its ``p > 0.0 and`` short-circuit, so a null plan draws from
   the RNG on every gossip delivery — runtime-bitwise-neutrality gone,
   caught structurally.
@@ -92,10 +92,10 @@ MUTANTS: Tuple[LintMutant, ...] = (
             "drop_gossip loses its zero-knob short-circuit and draws "
             "from the RNG even under a null FaultPlan"
         ),
-        expect_path="faults/injector.py",
+        expect_path="faults/decisions.py",
         patches=(
             (
-                "faults/injector.py",
+                "faults/decisions.py",
                 "        p = self.plan.gossip_loss_rate\n"
                 "        return p > 0.0 and self._rng.random() < p",
                 "        return self._rng.random() < self.plan.gossip_loss_rate",

@@ -10,7 +10,8 @@ abstract interpreter that prunes decidable branches, and proves each
 method short-circuits before any expensive construct:
 
 - ``rng-draw``: a call on an ``rng``/``_rng`` receiver, or any call fed
-  an RNG-valued argument (``exponential(self._rng, ...)``);
+  an RNG-valued argument (``exponential(self._rng, ...)``,
+  ``self.plan.sample(n, self._rng)``);
 - ``alloc``: comprehensions over non-empty iterables, non-empty
   list/dict/set displays, ``list``/``dict``/``set``/``sorted`` over
   non-empty arguments;
@@ -23,6 +24,9 @@ Each surface declares which op classes it must avoid — the simulator's
 invoke the probe hook when ``_probe is None``, while the injector
 queries must avoid all five.  Surfaces are keyed by *class name*, not
 path, so golden-fixture trees exercise the pass by reusing the names.
+A surface class inherits the summaries of a base class that is itself a
+surface listed before it, so ``super().__init__(...)`` and ``self.m()``
+on an inherited ``m`` use the base's proof instead of being guessed.
 
 A method with no reachable expensive op is *certified*; the certificates
 are surfaced through :meth:`NeutralityRule.certified` into the JSON
@@ -39,7 +43,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from repro.lint.callgraph import ClassInfo, Project
+from repro.lint.callgraph import CallGraph, ClassInfo, Project
 from repro.lint.framework import SEVERITY_ERROR, Finding, ProjectRule
 
 # -- abstract values under the null-plan hypothesis ------------------------
@@ -63,6 +67,8 @@ _INFRA_NAMES: Mapping[str, str] = {
     "_py_rng": V_RNG,
     "np_rng": V_RNG,
     "_np_rng": V_RNG,
+    "roster_rng": V_RNG,
+    "event_rng": V_RNG,
     "sim": V_SIM,
     "_sim": V_SIM,
     "tracer": V_TRACER,
@@ -100,30 +106,62 @@ class Surface:
     ops: FrozenSet[str] = ALL_OPS
 
 
-#: The contract: the three hook surfaces PR 5/6 proved neutral at runtime.
+_FAULT_FACTS: Mapping[str, str] = {"plan": V_PLAN, "polluters": V_EMPTY}
+_ADVERSARY_FACTS: Mapping[str, str] = {
+    "plan": V_PLAN,
+    "liars": V_EMPTY,
+    "freeriders": V_EMPTY,
+    "polluters": V_EMPTY,
+}
+
+#: The contract: the hook surfaces proved neutral at runtime.  A shared
+#: base class comes before the classes that extend it.
 SURFACES: Tuple[Surface, ...] = (
     Surface(
-        class_name="FaultInjector",
+        # The decisions every engine (event, fast, live) makes through
+        # repro.faults.decisions; the live runtime builds one even for a
+        # null plan, so construction is in scope.  burst_slots is out of
+        # scope: it runs only when a burst fires, and the burst rate is 0
+        # under a null plan.
+        class_name="FaultDecisions",
         methods=frozenset(
             {
                 "__init__",
                 "_sample_polluters",
-                "start",
-                "stop",
                 "drop_gossip",
                 "drop_pull",
                 "is_polluter",
                 "pollutes",
                 "maybe_pollute",
-                "servers_down",
+                "pull_attempts",
+                "catchup_pulls",
+                "burst_size",
             }
         ),
-        facts={"plan": V_PLAN, "polluters": V_EMPTY},
+        facts=_FAULT_FACTS,
+    ),
+    Surface(
+        # Shared adversary roles and sizing (repro.faults.decisions).
+        class_name="AdversaryDecisions",
+        methods=frozenset(
+            {
+                "__init__",
+                "_sample_roles",
+                "capture_probability",
+                "sybil_burst_size",
+            }
+        ),
+        facts=_ADVERSARY_FACTS,
+    ),
+    Surface(
+        class_name="FaultInjector",
+        methods=frozenset({"__init__", "start", "stop", "servers_down"}),
+        facts=_FAULT_FACTS,
     ),
     Surface(
         # Never constructed under a null plan (the system guards every
-        # hook on None), so __init__/_sample_roles are out of scope; the
-        # queries must still short-circuit when every *strategy* is off.
+        # hook on None), so __init__ is out of scope; the queries must
+        # still short-circuit when every *strategy* is off.
         class_name="AdversaryInjector",
         methods=frozenset(
             {
@@ -138,55 +176,30 @@ SURFACES: Tuple[Surface, ...] = (
                 "capture_pull",
             }
         ),
-        facts={
-            "plan": V_PLAN,
-            "liars": V_EMPTY,
-            "freeriders": V_EMPTY,
-            "polluters": V_EMPTY,
-            "_liar_list": V_EMPTY,
-            "_sybils": V_EMPTY,
-        },
+        facts={**_ADVERSARY_FACTS, "_liar_list": V_EMPTY, "_sybils": V_EMPTY},
     ),
     Surface(
-        # Vectorized twin of FaultInjector (repro.fastsim.masks): the
-        # batch queries must short-circuit on the plan knob before the
-        # numpy draw, exactly like the scalar injector.  burst_slots is
-        # out of scope — it only runs when a burst event fires, and the
-        # burst channel's rate is 0 under a null plan.
+        # Vectorized fault queries (repro.fastsim.masks): the batch
+        # queries must short-circuit on the plan knob before the numpy
+        # draw.
         class_name="FastFaultMasks",
         methods=frozenset(
             {
                 "__init__",
-                "_sample_polluters",
                 "gossip_loss_mask",
                 "pull_loss_mask",
                 "outage_timeline",
             }
         ),
-        facts={"plan": V_PLAN, "polluters": V_EMPTY},
+        facts=_FAULT_FACTS,
     ),
     Surface(
-        # Vectorized twin of AdversaryInjector.  capture_mask guards on a
+        # Vectorized adversary queries.  capture_mask guards on a
         # computed probability (0 when nobody advertises), which the
-        # abstract interpreter cannot decide — runtime tests pin it; the
-        # statically provable members are the role sampling and the
-        # sizing arithmetic.
+        # abstract interpreter cannot decide — runtime tests pin it.
         class_name="FastAdversaryMasks",
-        methods=frozenset(
-            {
-                "__init__",
-                "_sample_roles",
-                "targets_low_degree",
-                "capture_probability",
-                "sybil_burst_size",
-            }
-        ),
-        facts={
-            "plan": V_PLAN,
-            "liars": V_EMPTY,
-            "freeriders": V_EMPTY,
-            "polluters": V_EMPTY,
-        },
+        methods=frozenset({"__init__", "targets_low_degree"}),
+        facts=_ADVERSARY_FACTS,
     ),
     Surface(
         # The engine's own batch allocations are the fast path itself;
@@ -235,10 +248,12 @@ class _MethodWalker:
         class_info: ClassInfo,
         summaries: Dict[str, _Summary],
         node: ast.AST,
+        inherited: Mapping[str, _Summary],
     ) -> None:
         self.surface = surface
         self.class_info = class_info
         self.summaries = summaries
+        self.inherited = inherited
         self.node = node
         self.env: Dict[str, str] = {}
         self.returns: List[str] = []
@@ -588,13 +603,22 @@ class _MethodWalker:
             and func.attr not in _INFRA_NAMES
         ):
             summary = self.summaries.get(func.attr)
-            self._eval_args(call)
+            arg_values = self._eval_args(call)
             if summary is not None:
                 if not summary.safe:
                     self._flag(call, self._dominant_op(summary))
                 return summary.ret
+            if V_RNG in arg_values:
+                # an unproved method handed the stream may draw from it
+                self._flag(call, OP_RNG)
             return V_UNKNOWN
         if isinstance(func, ast.Attribute):
+            if _is_super_call(func.value) and func.attr in self.inherited:
+                summary = self.inherited[func.attr]
+                self._eval_args(call)
+                if not summary.safe:
+                    self._flag(call, self._dominant_op(summary))
+                return summary.ret
             receiver = self.eval(func.value)
             if receiver == V_RNG:
                 self._flag(call, OP_RNG)
@@ -612,15 +636,18 @@ class _MethodWalker:
                 self._flag(call, OP_HOOK)
                 self._eval_args(call)
                 return V_UNKNOWN
+            if V_RNG in self._eval_args(call):
+                # plan.sample(n, self._rng) draws from the stream it is
+                # handed, whatever the receiver.
+                self._flag(call, OP_RNG)
+                return V_UNKNOWN
             if receiver == V_EMPTY and func.attr in (
                 "items",
                 "keys",
                 "values",
                 "copy",
             ):
-                self._eval_args(call)
                 return V_EMPTY
-            self._eval_args(call)
             return V_UNKNOWN
         if isinstance(func, ast.Name):
             value = self.env.get(func.id)
@@ -669,6 +696,14 @@ class _MethodWalker:
         return summary.violations[0][1] if summary.violations else OP_HOOK
 
 
+def _is_super_call(expr: ast.expr) -> bool:
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id == "super"
+    )
+
+
 def _is_none_const(expr: ast.expr) -> bool:
     return isinstance(expr, ast.Constant) and expr.value is None
 
@@ -695,32 +730,57 @@ class NeutralityRule(ProjectRule):
 
     def __init__(self) -> None:
         self._certified: List[str] = []
+        #: class qname -> method summaries (own and inherited) of every
+        #: surface class checked so far.
+        self._class_summaries: Dict[str, Dict[str, _Summary]] = {}
 
     def check_project(self, project: Project) -> List[Finding]:
         self._certified = []
+        self._class_summaries = {}
         findings: List[Finding] = []
         graph = project.graph
         for surface in SURFACES:
             for class_info in graph.classes_by_name.get(
                 surface.class_name, []
             ):
-                findings.extend(self._check_class(surface, class_info))
+                inherited = self._inherited(class_info, graph)
+                findings.extend(
+                    self._check_class(surface, class_info, inherited)
+                )
         return findings
 
+    def _inherited(
+        self, class_info: ClassInfo, graph: CallGraph
+    ) -> Dict[str, _Summary]:
+        """Summaries of the already-checked surface bases of a class."""
+        merged: Dict[str, _Summary] = {}
+        for base in reversed(class_info.bases):
+            info = graph.classes.get(base) or graph.class_named(
+                base.rsplit(".", 1)[-1]
+            )
+            if info is not None:
+                merged.update(self._class_summaries.get(info.qname, {}))
+        return merged
+
     def _check_class(
-        self, surface: Surface, class_info: ClassInfo
+        self,
+        surface: Surface,
+        class_info: ClassInfo,
+        inherited: Dict[str, _Summary],
     ) -> List[Finding]:
         method_nodes: Dict[str, ast.AST] = {}
         for stmt in class_info.node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 method_nodes[stmt.name] = stmt
-        summaries: Dict[str, _Summary] = {
-            name: _Summary() for name in method_nodes
-        }
+        summaries: Dict[str, _Summary] = dict(inherited)
+        summaries.update({name: _Summary() for name in method_nodes})
+        self._class_summaries[class_info.qname] = summaries
         for _ in range(10):
             changed = False
             for name, node in sorted(method_nodes.items()):
-                walker = _MethodWalker(surface, class_info, summaries, node)
+                walker = _MethodWalker(
+                    surface, class_info, summaries, node, inherited
+                )
                 summary = walker.run()
                 old = summaries[name]
                 # once unsafe, stay unsafe (monotone convergence)

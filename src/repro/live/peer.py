@@ -33,6 +33,8 @@ import numpy as np
 from repro.coding.block import CodedBlock, SegmentDescriptor, make_source_blocks
 from repro.core.params import SELECTION_UNIFORM, Parameters
 from repro.core.peer import Peer
+from repro.faults.decisions import FaultDecisions
+from repro.faults.plan import FaultPlan
 from repro.live import ports, wire
 from repro.live.clock import LiveClock, PoissonSchedule
 from repro.live.framing import Frame, FrameError, FrameTruncated
@@ -41,7 +43,6 @@ from repro.live.ports import Backoff
 from repro.live.transport import (
     ConnectionCache,
     FramedConnection,
-    NetemShim,
     POLLUTER_STREAM,
 )
 from repro.sim.rng import SeedSequenceRegistry, exponential
@@ -134,8 +135,8 @@ class LivePeer:
         self._coding_rng = seeds.numpy(f"live:peer{slot}:coding")
         self._payload_rng = seeds.numpy(f"live:peer{slot}:payload")
         self._backoff_rng = seeds.python(f"live:peer{slot}:backoff")
-        self.netem = NetemShim(
-            params.faults,
+        self.faults = FaultDecisions(
+            params.faults or FaultPlan(),
             params.n_peers,
             seeds.python(POLLUTER_STREAM),
             seeds.python(f"live:peer{slot}:netem"),
@@ -504,7 +505,7 @@ class LivePeer:
                 )
             holding = self.core.holdings[segment_id]
             block = holding.make_coded_block(self._coding_rng, at)
-            self.netem.maybe_pollute(self.slot, holding, block)
+            self.faults.maybe_pollute(self.slot, holding, block)
             digest = self._digests.get(segment_id, "")
             await self._gossip_block(segment_id, block, digest)
 
@@ -653,7 +654,7 @@ class LivePeer:
 
     def _receive_block(self, frame: Frame) -> None:
         """A gossiped coded block arrived (possibly on a lossy link)."""
-        if self.netem.drop_gossip():
+        if self.faults.drop_gossip():
             self.stats.transfers_dropped += 1
             return
         block = wire.block_from_wire(frame.header, frame.payload)
@@ -682,7 +683,7 @@ class LivePeer:
             segment_id = self.core.sample_segment_proportional(self._select_rng)
         holding = self.core.holdings[segment_id]
         block = holding.make_coded_block(self._coding_rng, self.clock.now())
-        self.netem.maybe_pollute(self.slot, holding, block)
+        self.faults.maybe_pollute(self.slot, holding, block)
         header, payload = wire.block_to_wire(
             wire.MSG_PULL_BLOCK,
             block,

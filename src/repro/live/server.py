@@ -14,11 +14,13 @@ One :class:`LiveLoggingServer` plays two roles at once:
   candidates at rate ``c·N/N_s`` from the set of peers whose buffers are
   currently non-empty, as advertised by STATUS frames.
 
-The pull path mirrors :meth:`repro.core.server.ServerPool.pull` decision
-for decision: idle when no candidate, redundant when the drawn segment is
-already decoded, in-flight loss checked once per trial before the
-pollution re-pull loop, polluted blocks detected by GF(2^8) rank (an
-all-zero coefficient header) and re-drawn within the trial's budget.
+A pull trial has the outcomes of :meth:`repro.core.server.ServerPool.pull`
+(without adversary capture or quarantine): idle when no candidate,
+redundant when the drawn segment is already decoded, in-flight loss
+checked once per trial before the pollution re-pull loop, polluted blocks
+detected by GF(2^8) rank (an all-zero coefficient header) and re-drawn
+while :meth:`~repro.faults.decisions.FaultDecisions.pull_attempts` lasts;
+a spent budget ends the trial with nothing collected.
 Completed segments are actually decoded and their payload digest checked
 against the source digest — end-to-end verification the simulator cannot
 perform because it never moves real bytes.
@@ -34,6 +36,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.coding.block import CodedBlock
 from repro.coding.rlnc import SegmentDecoder
 from repro.core.params import Parameters
+from repro.faults.decisions import FaultDecisions, sample_cohort
 from repro.faults.plan import FaultPlan
 from repro.live import ports, wire
 from repro.live.checkpoint import (
@@ -49,7 +52,6 @@ from repro.live.transport import (
     BURST_STREAM,
     ConnectionCache,
     FramedConnection,
-    NetemShim,
     POLLUTER_STREAM,
     detects_pollution,
 )
@@ -127,8 +129,8 @@ class LiveLoggingServer:
         ]
         self._outage_rng = seeds.python("live:server:outages")
         self._burst_rng = seeds.python(BURST_STREAM)
-        self.netem = NetemShim(
-            params.faults,
+        self.faults = FaultDecisions(
+            params.faults or FaultPlan(),
             params.n_peers,
             seeds.python(POLLUTER_STREAM),
             seeds.python("live:server:netem"),
@@ -310,7 +312,7 @@ class LiveLoggingServer:
             spawn(self._pull_loop(i), name=f"server:pull{i}")
             for i in range(self.params.n_servers)
         ]
-        plan = self.netem.plan
+        plan = self.faults.plan
         # process_faults are NOT scheduled here: in the live runtime they
         # are delivered as real signals by the supervisor; only the
         # blackhole-style outage channels run in-process.
@@ -637,7 +639,7 @@ class LiveLoggingServer:
         return slot, block, wire.block_digest_of(reply.header)
 
     async def _pull_once(self, now: float) -> None:
-        """One pull trial; mirrors ``ServerPool.pull`` decision-for-decision."""
+        """One pull trial (outcomes as in the module docstring)."""
         stats = self.stats
         stats.pulls += 1
         candidate = await self._fetch_candidate()
@@ -648,32 +650,26 @@ class LiveLoggingServer:
         if block.segment.segment_id in self._completed:
             stats.redundant_pulls += 1
             return
-        if self.netem.drop_pull():
-            # In-flight loss: checked once per trial, before any re-pulls,
-            # exactly like the simulator.
+        if self.faults.drop_pull():
+            # In-flight loss: checked once per trial, before any re-pulls.
             stats.transfers_dropped += 1
             return
-        attempts = (
-            1 + self.netem.plan.pollution_repull_budget
-            if self.netem.polluters
-            else 1
-        )
-        for _ in range(attempts):
-            if detects_pollution(block):
-                stats.blocks_rejected_polluted += 1
-                candidate = await self._fetch_candidate()
-                if candidate is None:
-                    stats.idle_pulls += 1
-                    return
-                _, block, digest = candidate
-                if block.segment.segment_id in self._completed:
-                    stats.redundant_pulls += 1
-                    return
-                continue
-            self._ingest(block, digest, now)
-            return
-        # Budget exhausted on junk: the trial ends unproductive.
-        stats.redundant_pulls += 1
+        attempts = self.faults.pull_attempts()
+        while detects_pollution(block):
+            stats.blocks_rejected_polluted += 1
+            attempts -= 1
+            if attempts <= 0:
+                # Re-pull budget spent: the trial collected nothing.
+                return
+            candidate = await self._fetch_candidate()
+            if candidate is None:
+                stats.idle_pulls += 1
+                return
+            _, block, digest = candidate
+            if block.segment.segment_id in self._completed:
+                stats.redundant_pulls += 1
+                return
+        self._ingest(block, digest, now)
 
     def _ingest(self, block: CodedBlock, digest: str, now: float) -> None:
         """Feed one clean block to the pooled decoder state."""
@@ -713,7 +709,7 @@ class LiveLoggingServer:
 
     async def _outage_controller(self) -> None:
         """Drive server outages: scheduled windows or the renewal process."""
-        plan = self.netem.plan
+        plan = self.faults.plan
         if plan.outage_windows:
             for start, end in plan.outage_windows:
                 if end <= self.clock.now():
@@ -738,30 +734,30 @@ class LiveLoggingServer:
         await self.clock.sleep_sim(duration)
         now = self.clock.now()
         self.stats.servers_down.update(now, 0.0)
-        catchup = min(
-            int(duration * self.params.per_server_rate),
-            self.netem.plan.catchup_limit,
+        catchup = self.faults.catchup_pulls(
+            duration, self.params.per_server_rate
         )
         # Push every pull clock past the outage so the backlog does not
         # drain as an unbounded burst; the bounded catch-up below is the
-        # only compensation, exactly like the simulator.
+        # only compensation.
         for schedule in self._pull_schedules:
             schedule.defer(duration)
         self._paused = False
         self._resumed.set()
-        # Burn down the backlog: the same bounded catch-up burst the
-        # simulator schedules at resume time.
+        # Burn down the backlog in one bounded catch-up burst per server.
         for _ in range(self.params.n_servers):
             for _ in range(catchup):
                 await self._pull_once(self.clock.now())
 
     async def _burst_controller(self) -> None:
         """Correlated departures: RESET a random cohort of peers."""
-        plan = self.netem.plan
+        plan = self.faults.plan
         while True:
             gap = exponential(self._burst_rng, plan.burst_rate)
             await self.clock.sleep_sim(gap)
-            slots = self.netem.sample_burst_slots(self._burst_rng)
+            slots = sample_cohort(
+                self._burst_rng, plan.burst_fraction, self.params.n_peers
+            )
             self.stats.burst_departures += len(slots)
             for slot in slots:
                 self.nonempty.discard(slot)

@@ -71,12 +71,18 @@ class TestR7Neutrality:
     def test_guard_dropped_and_unguarded_probe(self):
         report = lint_case("case_r7")
         assert triples(report.findings) == [
-            ("R7", "faults/injector.py", 11),  # rng draw, no short-circuit
+            ("R7", "faults/decisions.py", 8),  # rng handed to plan.sample
+            ("R7", "faults/decisions.py", 11),  # rng draw, no short-circuit
+            ("R7", "faults/decisions.py", 18),  # rng handed to plan.decide
+            ("R7", "faults/decisions.py", 21),  # rng to an unproved method
+            ("R7", "faults/injector.py", 8),  # super() into the unsafe base
             ("R7", "sim/engine.py", 10),  # probe() without None guard
         ]
-        messages = {f.path: f.message for f in report.findings}
-        assert "RNG draw" in messages["faults/injector.py"]
-        assert "hook invocation" in messages["sim/engine.py"]
+        messages = {(f.path, f.line): f.message for f in report.findings}
+        assert "RNG draw" in messages[("faults/decisions.py", 11)]
+        assert "FaultDecisions.__init__" in messages[("faults/decisions.py", 8)]
+        assert "FaultInjector.__init__" in messages[("faults/injector.py", 8)]
+        assert "hook invocation" in messages[("sim/engine.py", 10)]
 
     def test_unsafe_surfaces_earn_no_certificates(self):
         report = lint_case("case_r7")
@@ -88,24 +94,32 @@ class TestR7Neutrality:
         assert triples(report.findings, rule="R7") == []
         surfaces = {c.split(".")[0] for c in report.certified}
         assert surfaces == {
+            "FaultDecisions",
+            "AdversaryDecisions",
             "FaultInjector",
             "AdversaryInjector",
             "FastFaultMasks",
             "FastAdversaryMasks",
             "Simulator",
         }
-        assert "Simulator.run_until: neutral under null plan" in (
-            report.certified
-        )
-        assert any(c.startswith("FaultInjector.drop_gossip") for c in report.certified)
-        assert any(
-            c.startswith("FastFaultMasks.gossip_loss_mask")
-            for c in report.certified
-        )
-        assert any(
-            c.startswith("FastAdversaryMasks._sample_roles")
-            for c in report.certified
-        )
+        certified = {c.split(":")[0] for c in report.certified}
+        # The decisions the live runtime calls are proved where they live,
+        # and the subclasses' constructors through super() into them.
+        assert {
+            "FaultDecisions.__init__",
+            "FaultDecisions.drop_gossip",
+            "FaultDecisions.drop_pull",
+            "FaultDecisions.pollutes",
+            "FaultDecisions.maybe_pollute",
+            "FaultDecisions.pull_attempts",
+            "AdversaryDecisions._sample_roles",
+            "FaultInjector.__init__",
+            "AdversaryInjector.capture_pull",
+            "FastFaultMasks.__init__",
+            "FastFaultMasks.gossip_loss_mask",
+            "FastAdversaryMasks.__init__",
+            "Simulator.run_until",
+        } <= certified
 
 
 class TestR8WorkerBoundary:

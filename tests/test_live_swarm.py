@@ -13,6 +13,7 @@ import pytest
 
 from repro.coding.block import SegmentDescriptor, make_source_blocks
 from repro.core.params import Parameters
+from repro.faults.decisions import FaultDecisions, corrupt_block
 from repro.faults.plan import FaultPlan
 from repro.live import ports, wire
 from repro.live.crossval import (
@@ -22,8 +23,8 @@ from repro.live.crossval import (
 )
 from repro.live.framing import FrameGarbage
 from repro.live.harness import run_swarm, validate_live_params
+from repro.live.server import LiveLoggingServer
 from repro.live.transport import (
-    NetemShim,
     POLLUTER_STREAM,
     detects_pollution,
 )
@@ -203,9 +204,12 @@ class TestWire:
 
 
 class TestNetemShim:
+    """The live netem-style fault wiring: the shared FaultDecisions on the
+    swarm-wide polluter stream plus one endpoint's own event stream."""
+
     def _shim(self, plan, n=50, root_seed=7):
         seeds = SeedSequenceRegistry(root_seed)
-        return NetemShim(
+        return FaultDecisions(
             plan, n, seeds.python(POLLUTER_STREAM),
             seeds.python("test:netem"),
         )
@@ -226,8 +230,8 @@ class TestNetemShim:
         assert first.polluters  # non-empty at this fraction
 
     def test_polluter_sampling_matches_injector_sample_call(self):
-        # Byte-for-byte parity with FaultInjector._sample_polluters: the
-        # same count formula and the same rng.sample call.
+        # The shared cohort formula and one rng.sample call on the
+        # swarm-wide stream, so the set is a pure function of the seed.
         plan = FaultPlan(pollution_fraction=0.2)
         n = 50
         shim = self._shim(plan, n=n)
@@ -237,10 +241,10 @@ class TestNetemShim:
 
     def test_zero_knob_queries_never_touch_the_event_rng(self):
         shim = self._shim(FaultPlan())
-        state = shim._event_rng.getstate()
+        state = shim._rng.getstate()
         assert not shim.drop_gossip()
         assert not shim.drop_pull()
-        assert shim._event_rng.getstate() == state
+        assert shim._rng.getstate() == state
 
     def test_polluted_emission_is_detectable_on_the_wire(self):
         shim = self._shim(FaultPlan(pollution_fraction=0.2))
@@ -274,6 +278,58 @@ class TestNetemShim:
         shim = self._shim(FaultPlan(gossip_loss_rate=0.3), n=10)
         drops = sum(shim.drop_gossip() for _ in range(4000))
         assert 0.25 < drops / 4000 < 0.35
+
+
+class TestPullTrial:
+    """A live pull trial spends its re-pull budget like ServerPool.pull."""
+
+    def _server(self, budget, polluted):
+        """A server whose fetches yield blocks polluted per *polluted*."""
+        plan = FaultPlan(
+            pollution_fraction=1.0, pollution_repull_budget=budget
+        )
+        server = LiveLoggingServer(_params(faults=plan), seed=3)
+        descriptor = SegmentDescriptor(
+            segment_id=1, source_peer=0, size=2, injected_at=0.0
+        )
+        rows = np.ones((2, 8), dtype=np.uint8)
+        outcomes = iter(polluted)
+        fetches = []
+
+        async def fetch():
+            block = make_source_blocks(descriptor, rows, created_at=0.0)[0]
+            if next(outcomes):
+                corrupt_block(block)
+            fetches.append(block)
+            return 0, block, ""
+
+        server._fetch_candidate = fetch
+        return server, fetches
+
+    def test_spent_budget_collects_nothing_and_counts_no_redundancy(self):
+        # pull_attempts = 1 + budget: three polluted blocks, no fourth
+        # fetch, and the exhausted trial is polluted, not redundant.
+        server, fetches = self._server(budget=2, polluted=[True] * 4)
+        asyncio.run(server._pull_once(0.0))
+        stats = server.stats
+        assert len(fetches) == 3
+        assert stats.blocks_rejected_polluted == 3
+        assert stats.redundant_pulls == 0
+        assert stats.useful_pulls == 0
+
+    def test_zero_budget_ends_the_trial_on_the_first_polluted_block(self):
+        server, fetches = self._server(budget=0, polluted=[True, False])
+        asyncio.run(server._pull_once(0.0))
+        assert len(fetches) == 1
+        assert server.stats.blocks_rejected_polluted == 1
+        assert server.stats.useful_pulls == 0
+
+    def test_clean_re_pull_is_ingested(self):
+        server, fetches = self._server(budget=2, polluted=[True, False])
+        asyncio.run(server._pull_once(0.0))
+        assert len(fetches) == 2
+        assert server.stats.blocks_rejected_polluted == 1
+        assert server.stats.useful_pulls == 1
 
 
 class TestCrossval:
