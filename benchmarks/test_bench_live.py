@@ -13,7 +13,7 @@ import asyncio
 import numpy as np
 
 from repro.coding.block import SegmentDescriptor, make_source_blocks
-from repro.coding.rlnc import SegmentDecoder, recode
+from repro.coding.rlnc import SegmentDecoder, block_rows, recode
 from repro.live import ports, wire
 from repro.live.framing import FrameDecoder, encode_frame
 from repro.live.transport import FramedConnection
@@ -101,7 +101,7 @@ def test_bench_decode_on_wire(benchmark):
     )
     rng = np.random.default_rng(3)
     payloads = rng.integers(0, 256, size=(32, 256), dtype=np.uint8)
-    blocks = make_source_blocks(descriptor, payloads)
+    rows = block_rows(make_source_blocks(descriptor, payloads))
     digest = wire.payload_digest(payloads.tobytes())
 
     async def serve(reader, writer):
@@ -110,7 +110,7 @@ def test_bench_decode_on_wire(benchmark):
             frame = await conn.read()
             if frame is None:
                 break
-            coded = recode(blocks, rng)
+            coded = recode(descriptor, rows, rng)
             header, data = wire.block_to_wire(
                 wire.MSG_PULL_BLOCK, coded, digest
             )

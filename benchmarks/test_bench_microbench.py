@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.coding import gf256
 from repro.coding.linalg import IncrementalDecoder
-from repro.coding.rlnc import recode
+from repro.coding.rlnc import block_rows, recode
 from repro.coding.block import SegmentDescriptor, make_source_blocks
 from repro.core.params import Parameters
 from repro.core.system import CollectionSystem
@@ -30,8 +30,8 @@ def test_bench_recode_segment32(benchmark):
     )
     rng = np.random.default_rng(0)
     payloads = rng.integers(0, 256, size=(32, 256), dtype=np.uint8)
-    blocks = make_source_blocks(descriptor, payloads)
-    benchmark(recode, blocks, rng)
+    rows = block_rows(make_source_blocks(descriptor, payloads))
+    benchmark(recode, descriptor, rows, rng)
 
 
 def test_bench_incremental_decode_segment32(benchmark):

@@ -9,6 +9,7 @@ from repro.coding.block import (
 from repro.coding.linalg import IncrementalDecoder, invert, is_invertible, rank, rref, solve
 from repro.coding.rlnc import (
     SegmentDecoder,
+    block_rows,
     encode_from_source,
     innovation_probability,
     rank_of_blocks,
@@ -27,6 +28,7 @@ __all__ = [
     "rref",
     "solve",
     "SegmentDecoder",
+    "block_rows",
     "encode_from_source",
     "innovation_probability",
     "rank_of_blocks",

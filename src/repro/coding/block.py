@@ -119,6 +119,26 @@ class CodedBlock:
         self.polluted = polluted
         self.holder = -1
 
+    @classmethod
+    def from_row(
+        cls, segment: SegmentDescriptor, row: Vector, created_at: float = 0.0
+    ) -> "CodedBlock":
+        """Wrap one fused ``[coefficients | payload]`` row without copying.
+
+        ``coefficients`` and ``payload`` become views of *row*, so the block
+        takes the row over: the caller must not share or reuse it.  A row
+        exactly ``segment.size`` wide carries no payload.
+        """
+        size = segment.size
+        if row.ndim != 1 or row.shape[0] < size:
+            raise ValueError(
+                f"fused row has shape {row.shape}, expected at least ({size},)"
+            )
+        block = cls(segment, created_at=created_at)
+        block.coefficients = row[:size]
+        block.payload = row[size:] if row.shape[0] > size else None
+        return block
+
     @property
     def is_coded(self) -> bool:
         """True when the block carries an explicit encoding vector."""
@@ -143,25 +163,25 @@ def make_source_blocks(
     themselves; in coded form those are unit coefficient vectors.  *payloads*
     is an optional ``(s, payload_len)`` array of original data rows.
     """
+    size = segment.size
+    width = size
     if payloads is not None:
-        payloads = np.atleast_2d(np.asarray(payloads)).astype(np.uint8)
-        if payloads.shape[0] != segment.size:
+        payloads = np.atleast_2d(np.asarray(payloads))
+        if payloads.shape[0] != size:
             raise ValueError(
-                f"expected {segment.size} payload rows, got {payloads.shape[0]}"
+                f"expected {size} payload rows, got {payloads.shape[0]}"
             )
+        width += payloads.shape[1]
     when = segment.injected_at if created_at is None else created_at
     blocks: List[CodedBlock] = []
-    for index in range(segment.size):
-        unit = np.zeros(segment.size, dtype=np.uint8)
-        unit[index] = 1
-        blocks.append(
-            CodedBlock(
-                segment=segment,
-                coefficients=unit,
-                payload=None if payloads is None else payloads[index].copy(),
-                created_at=when,
-            )
-        )
+    for index in range(size):
+        # Each block owns its own fused [unit vector | payload] row, the
+        # only copy of its payload, so it frees independently of the others.
+        row = np.zeros(width, dtype=np.uint8)
+        row[index] = 1
+        if payloads is not None:
+            row[size:] = payloads[index]
+        blocks.append(CodedBlock.from_row(segment, row, when))
     return blocks
 
 

@@ -305,9 +305,10 @@ def combine_rows(rows: Vector, scalars: Vector) -> Vector:
         raise ValueError(
             f"rows {rows.shape} and scalars {scalars.shape} do not align"
         )
-    out = np.zeros(rows.shape[1], dtype=np.uint8)
-    vec_addmul_rows(out, rows, scalars)
-    return out
+    # One broadcast gather of all scaled rows and one XOR-reduce, which
+    # allocates the result (zeros for an empty *rows*).
+    result: Vector = np.bitwise_xor.reduce(MUL_TABLE[scalars[:, None], rows], axis=0)
+    return result
 
 
 def vec_mul(a: Vector, b: Vector) -> Vector:

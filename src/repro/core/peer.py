@@ -26,15 +26,24 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.coding.block import CodedBlock, SegmentDescriptor
+from repro.coding.gf256 import Vector
 from repro.coding.linalg import rank as matrix_rank
 from repro.coding.rlnc import RngLike, recode
 from repro.util.randomset import RandomizedSet
 
 
 class SegmentHolding:
-    """All live blocks one peer holds for one segment."""
+    """All live blocks one peer holds for one segment.
 
-    __slots__ = ("descriptor", "blocks", "polluted_count", "_rank_cache")
+    A holding is abstract or coded for its whole life, as its first block
+    is.  A coded holding also keeps its blocks as one growable ``uint8``
+    matrix, one fused ``[coefficients | payload]`` row per block in
+    ``blocks`` order, which rank and recode read without stacking.  Rows are
+    copied on :meth:`add`: a block changed after it is stored would leave a
+    stale row, so the protocol corrupts polluted blocks before storing them.
+    """
+
+    __slots__ = ("descriptor", "blocks", "polluted_count", "_rank_cache", "_rows")
 
     def __init__(self, descriptor: SegmentDescriptor) -> None:
         self.descriptor = descriptor
@@ -44,6 +53,9 @@ class SegmentHolding:
         #: like any other — but they contribute no useful information.
         self.polluted_count = 0
         self._rank_cache: Optional[int] = None
+        #: fused rows of a coded holding (spare rows past ``len(blocks)``);
+        #: None while abstract.
+        self._rows: Optional[Vector] = None
 
     @property
     def block_count(self) -> int:
@@ -56,14 +68,14 @@ class SegmentHolding:
         Abstract blocks (no coefficients) use the idealized ``min(count, s)``;
         coded blocks use the true rank, cached until the holding mutates.
         """
-        if not self.blocks:
+        count = len(self.blocks)
+        if not count:
             return 0
-        if self.blocks[0].coefficients is None:
-            useful = len(self.blocks) - self.polluted_count
-            return min(useful, self.descriptor.size)
+        rows = self._rows
+        if rows is None:
+            return min(count - self.polluted_count, self.descriptor.size)
         if self._rank_cache is None:
-            matrix = np.stack([block.coefficients for block in self.blocks])
-            self._rank_cache = matrix_rank(matrix)
+            self._rank_cache = matrix_rank(rows[:count, : self.descriptor.size])
         return self._rank_cache
 
     def add(self, block: CodedBlock) -> None:
@@ -73,17 +85,51 @@ class SegmentHolding:
                 f"block of segment {block.segment.segment_id} added to "
                 f"holding of segment {self.descriptor.segment_id}"
             )
+        if block.coefficients is not None or self._rows is not None:
+            self._add_row(block)
         self.blocks.append(block)
         if block.polluted:
             self.polluted_count += 1
         self._rank_cache = None
 
+    def _add_row(self, block: CodedBlock) -> None:
+        """Copy *block*'s fused row in after the last held row."""
+        count = len(self.blocks)
+        coefficients = block.coefficients
+        rows = self._rows
+        if coefficients is None or (rows is None and count):
+            raise ValueError("a holding cannot mix abstract and coded blocks")
+        size = self.descriptor.size
+        payload = block.payload
+        width = size if payload is None else size + payload.shape[0]
+        if rows is None:
+            rows = self._rows = np.empty((1, width), dtype=np.uint8)
+        elif rows.shape[1] != width:
+            raise ValueError(
+                f"block row is {width} wide, holding rows are {rows.shape[1]}"
+            )
+        elif count == rows.shape[0]:
+            grown = np.empty((2 * count, width), dtype=np.uint8)
+            grown[:count] = rows
+            rows = self._rows = grown
+        rows[count, :size] = coefficients
+        if payload is not None:
+            rows[count, size:] = payload
+
     def remove(self, block: CodedBlock) -> bool:
-        """Drop *block* if present; returns True when removed."""
+        """Drop *block* if present; returns True when removed.
+
+        Later rows shift up one, so rows stay in ``blocks`` order.
+        """
+        blocks = self.blocks
         try:
-            self.blocks.remove(block)
+            index = blocks.index(block)
         except ValueError:
             return False
+        del blocks[index]
+        rows = self._rows
+        if rows is not None:
+            rows[index : len(blocks)] = rows[index + 1 : len(blocks) + 1]
         if block.polluted:
             self.polluted_count -= 1
         self._rank_cache = None
@@ -93,13 +139,15 @@ class SegmentHolding:
         """Emit one (re)coded block from the held blocks (Sec. 2 step 1).
 
         Abstract mode emits a bare block (an edge copy); RLNC mode draws
-        random GF(2^8) coefficients over the held blocks.
+        random GF(2^8) coefficients over the held rows.
         """
-        if not self.blocks:
+        count = len(self.blocks)
+        if not count:
             raise ValueError("cannot encode from an empty holding")
-        if self.blocks[0].coefficients is None:
+        rows = self._rows
+        if rows is None:
             return CodedBlock(segment=self.descriptor, created_at=now)
-        return recode(self.blocks, rng, created_at=now)
+        return recode(self.descriptor, rows[:count], rng, created_at=now)
 
 
 class Peer:

@@ -130,7 +130,7 @@ class TestRecordCodec:
         """Records packed into blocks must survive an encode/decode cycle
         through the RLNC layer — the end-to-end telemetry pipeline."""
         from repro.coding.block import SegmentDescriptor, make_source_blocks
-        from repro.coding.rlnc import SegmentDecoder, recode
+        from repro.coding.rlnc import SegmentDecoder, block_rows, recode
 
         codec = RecordCodec(block_size=128)
         records = [record(peer_id=i, rebuffering=i % 2 == 0) for i in range(9)]
@@ -140,9 +140,10 @@ class TestRecordCodec:
         )
         source = make_source_blocks(seg, np.stack(payload_blocks))
         decoder = SegmentDecoder(seg)
+        rows = block_rows(source)
         rng = np.random.default_rng(0)
         while not decoder.is_complete:
-            decoder.offer(recode(source, rng), now=0.0)
+            decoder.offer(recode(seg, rows, rng), now=0.0)
         recovered = codec.unpack_stream(list(decoder.decode()))
         assert recovered == records
 

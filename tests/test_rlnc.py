@@ -13,6 +13,7 @@ from repro.coding.block import (
 )
 from repro.coding.rlnc import (
     SegmentDecoder,
+    block_rows,
     encode_from_source,
     innovation_probability,
     rank_of_blocks,
@@ -59,6 +60,18 @@ class TestCodedBlock:
     def test_repr_mentions_kind(self):
         assert "abstract" in repr(CodedBlock(segment=descriptor()))
 
+    def test_from_row_views_one_fused_row(self):
+        row = np.arange(7, dtype=np.uint8)
+        block = CodedBlock.from_row(descriptor(4), row, created_at=2.0)
+        assert block.coefficients.tolist() == [0, 1, 2, 3]
+        assert block.payload.tolist() == [4, 5, 6]
+        assert block.created_at == 2.0
+        assert np.shares_memory(block.coefficients, row)
+        assert np.shares_memory(block.payload, row)
+        assert CodedBlock.from_row(descriptor(4), row[:4]).payload is None
+        with pytest.raises(ValueError):
+            CodedBlock.from_row(descriptor(4), row[:3])
+
 
 class TestSourceBlocks:
     def test_systematic_unit_vectors(self):
@@ -74,6 +87,17 @@ class TestSourceBlocks:
         for index, block in enumerate(blocks):
             assert np.array_equal(block.payload, payloads[index])
 
+    def test_blocks_own_a_copy_of_the_payloads(self):
+        payloads = np.ones((3, 5), dtype=np.uint8)
+        blocks = make_source_blocks(descriptor(3), payloads)
+        payloads[:] = 9
+        blocks[0].payload[:] = 7
+        assert [b.payload.tolist() for b in blocks[1:]] == [[1] * 5] * 2
+        assert [b.coefficients.tolist() for b in blocks[1:]] == [
+            [0, 1, 0],
+            [0, 0, 1],
+        ]
+
     def test_payload_row_count_validated(self):
         with pytest.raises(ValueError):
             make_source_blocks(descriptor(4), np.zeros((3, 2), dtype=np.uint8))
@@ -88,16 +112,31 @@ class TestSourceBlocks:
 class TestRecode:
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
-            recode([], np.random.default_rng(0))
+            recode(descriptor(), block_rows([]), np.random.default_rng(0))
 
     def test_abstract_blocks_rejected(self):
         with pytest.raises(ValueError):
-            recode([CodedBlock(segment=descriptor())], np.random.default_rng(0))
+            recode(
+                descriptor(),
+                block_rows([CodedBlock(segment=descriptor())]),
+                np.random.default_rng(0),
+            )
+
+    def test_block_rows_fuses_headers_and_payloads(self):
+        payloads = np.arange(8, dtype=np.uint8).reshape(4, 2)
+        blocks = make_source_blocks(descriptor(4), payloads)
+        assert block_rows(blocks[1:3]).tolist() == [
+            [0, 1, 0, 0, 2, 3],
+            [0, 0, 1, 0, 4, 5],
+        ]
+        # Payload columns only when every block carries a payload.
+        bare = CodedBlock(segment=descriptor(4), coefficients=[1, 1, 0, 0])
+        assert block_rows([blocks[0], bare]).shape == (2, 4)
 
     def test_output_in_span_of_inputs(self):
         rng = np.random.default_rng(3)
         blocks = make_source_blocks(descriptor(4))[:2]
-        out = recode(blocks, rng)
+        out = recode(descriptor(4), block_rows(blocks), rng)
         # span of e0, e1: coordinates 2,3 must be zero
         assert out.coefficients[2] == 0 and out.coefficients[3] == 0
         assert out.coefficients.any()
@@ -111,10 +150,14 @@ class TestRecode:
         rng = np.random.default_rng(seed)
         size, payload_len = 4, 6
         originals = rng.integers(0, 256, size=(size, payload_len), dtype=np.uint8)
-        blocks = make_source_blocks(descriptor(size), originals)
+        segment = descriptor(size)
+        blocks = make_source_blocks(segment, originals)
         # two recode hops
-        intermediate = [recode(blocks[:3], rng), recode(blocks[1:], rng)]
-        out = recode(intermediate, rng)
+        intermediate = [
+            recode(segment, block_rows(blocks[:3]), rng),
+            recode(segment, block_rows(blocks[1:]), rng),
+        ]
+        out = recode(segment, block_rows(intermediate), rng)
         expected = np.zeros(payload_len, dtype=np.uint8)
         for j in range(size):
             scalar = int(out.coefficients[j])
@@ -128,13 +171,13 @@ class TestRecode:
             make_source_blocks(descriptor(2, segment_id=1))[0],
         ]
         with pytest.raises(ValueError):
-            recode(blocks, np.random.default_rng(0))
+            recode(blocks[0].segment, block_rows(blocks), np.random.default_rng(0))
 
     def test_works_with_python_random(self):
         import random
 
         blocks = make_source_blocks(descriptor(3))
-        out = recode(blocks, random.Random(5))
+        out = recode(descriptor(3), block_rows(blocks), random.Random(5))
         assert out.coefficients.shape == (3,)
 
 
@@ -193,7 +236,10 @@ class TestSegmentDecoder:
         source_blocks = make_source_blocks(descriptor(5), originals)
         decoder = SegmentDecoder(descriptor(5))
         while not decoder.is_complete:
-            decoder.offer(recode(source_blocks, rng, created_at=0.0), now=0.0)
+            coded = recode(
+                descriptor(5), block_rows(source_blocks), rng, created_at=0.0
+            )
+            decoder.offer(coded, now=0.0)
         assert np.array_equal(decoder.decode(), originals)
 
 
